@@ -110,8 +110,8 @@ int main(int argc, char** argv) {
           model.i_prime(), model.s_double_prime(), model.s_prime());
     }
     std::printf(
-        "\nPaper reference rows (expf 43/52 TI 0.83 ... pi_xoshiro128p 172/56 TI 0.33);\n"
-        "see EXPERIMENTS.md for the side-by-side comparison.\n");
+        "\nPaper Table I reference rows: expf 43/52 TI 0.83 ... pi_xoshiro128p 172/56 "
+        "TI 0.33.\n");
     if (sc.cores.size() > 1) std::printf("\n");
   }
   return 0;

@@ -8,7 +8,8 @@
 //
 // The per-event energies in EnergyParams are calibrated so that the six
 // baseline kernels land in the paper's 37-42 mW band and the COPIFT variants
-// show the paper's <= 1.17x power increase; see DESIGN.md and EXPERIMENTS.md.
+// show the paper's <= 1.17x power increase; tools/calib.cpp dumps the
+// per-kernel activity rates the fit uses.
 #pragma once
 
 #include <span>

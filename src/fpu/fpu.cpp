@@ -68,22 +68,6 @@ FpuResult int_result(std::uint32_t v) {
 
 }  // namespace
 
-unsigned FpuLatencies::of(isa::FpuClass cls) const noexcept {
-  switch (cls) {
-    case isa::FpuClass::kAdd: return add;
-    case isa::FpuClass::kMul: return mul;
-    case isa::FpuClass::kFma: return fma;
-    case isa::FpuClass::kDivSqrt: return div_sqrt;
-    case isa::FpuClass::kCmp: return cmp;
-    case isa::FpuClass::kCvt: return cvt;
-    case isa::FpuClass::kMove: return move;
-    case isa::FpuClass::kMinMax: return minmax;
-    case isa::FpuClass::kClass: return fclass;
-    case isa::FpuClass::kNone: return 1;
-  }
-  return 1;
-}
-
 std::uint32_t fclass_d(double v) {
   if (std::isnan(v)) {
     const auto raw = copift::bit_cast<std::uint64_t>(v);

@@ -24,7 +24,22 @@ struct FpuLatencies {
   unsigned minmax = 1;
   unsigned fclass = 1;
 
-  [[nodiscard]] unsigned of(isa::FpuClass cls) const noexcept;
+  /// Inline: the FPSS looks this up on every issue attempt.
+  [[nodiscard]] unsigned of(isa::FpuClass cls) const noexcept {
+    switch (cls) {
+      case isa::FpuClass::kAdd: return add;
+      case isa::FpuClass::kMul: return mul;
+      case isa::FpuClass::kFma: return fma;
+      case isa::FpuClass::kDivSqrt: return div_sqrt;
+      case isa::FpuClass::kCmp: return cmp;
+      case isa::FpuClass::kCvt: return cvt;
+      case isa::FpuClass::kMove: return move;
+      case isa::FpuClass::kMinMax: return minmax;
+      case isa::FpuClass::kClass: return fclass;
+      case isa::FpuClass::kNone: return 1;
+    }
+    return 1;
+  }
 };
 
 /// Result of executing one FP instruction.

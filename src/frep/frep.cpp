@@ -1,5 +1,7 @@
 #include "frep/frep.hpp"
 
+#include <string>
+
 #include "common/error.hpp"
 
 namespace copift::frep {
@@ -55,13 +57,12 @@ void FrepSequencer::record(const FrepEntry& entry) {
   }
 }
 
-const FrepEntry& FrepSequencer::current() const {
-  if (state_ != State::kReplaying) throw SimError("FREP current() while not replaying");
-  return buffer_[pos_];
+void FrepSequencer::throw_not_replaying(const char* what) {
+  throw SimError(std::string("FREP ") + what + " while not replaying");
 }
 
 void FrepSequencer::advance() {
-  if (state_ != State::kReplaying) throw SimError("FREP advance() while not replaying");
+  if (state_ != State::kReplaying) throw_not_replaying("advance()");
   --pending_replays_;
   if (mode_ == Mode::kInner) {
     if (--inner_reps_left_ == 0) {

@@ -21,6 +21,9 @@ namespace copift::frep {
 struct FrepEntry {
   isa::Instr instr;
   std::uint64_t epoch = 0;
+  // instr.meta(), resolved when the original issued so replays skip the
+  // lookup (null in entries recorded without it).
+  const isa::InstrInfo* meta = nullptr;
 };
 
 class FrepSequencer {
@@ -47,7 +50,10 @@ class FrepSequencer {
   [[nodiscard]] bool replaying() const noexcept { return state_ == State::kReplaying; }
 
   /// Current replay instruction; only valid while replaying().
-  [[nodiscard]] const FrepEntry& current() const;
+  [[nodiscard]] const FrepEntry& current() const {
+    if (state_ != State::kReplaying) throw_not_replaying("current()");
+    return buffer_[pos_];
+  }
 
   /// Advance past the current replay instruction (called after issue).
   void advance();
@@ -61,6 +67,8 @@ class FrepSequencer {
 
  private:
   enum class State { kIdle, kRecording, kReplaying };
+
+  [[noreturn]] static void throw_not_replaying(const char* what);
 
   unsigned capacity_;
   State state_ = State::kIdle;

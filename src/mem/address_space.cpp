@@ -12,22 +12,30 @@ namespace {
 // DRAM growth granularity; keeps the resize count logarithmic without
 // committing pages nothing touches.
 constexpr std::uint32_t kDramChunk = 64 * 1024;
+
+/// True when [addr, addr + size) lies inside [base, base + window). Every
+/// range check goes through here in 64-bit arithmetic: in 32 bits, an address
+/// within `size` bytes of 2^32 wraps `addr + size` to a small value.
+constexpr bool within(std::uint32_t addr, std::uint64_t size, std::uint32_t base,
+                      std::uint32_t window) {
+  return addr >= base && std::uint64_t{addr} + size <= std::uint64_t{base} + window;
+}
 }  // namespace
 
 AddressSpace::AddressSpace() : tcdm_(kTcdmSize, 0) {}
 
-const std::uint8_t* AddressSpace::at(std::uint32_t addr, std::uint32_t size) const {
+const std::uint8_t* AddressSpace::at(std::uint32_t addr, std::uint64_t size) const {
   return const_cast<AddressSpace*>(this)->at(addr, size);
 }
 
-std::uint8_t* AddressSpace::at(std::uint32_t addr, std::uint32_t size) {
-  if (addr >= kTcdmBase && addr + size <= kTcdmBase + kTcdmSize) {
+std::uint8_t* AddressSpace::at(std::uint32_t addr, std::uint64_t size) {
+  if (within(addr, size, kTcdmBase, kTcdmSize)) {
     return tcdm_.data() + (addr - kTcdmBase);
   }
-  if (addr >= kDramBase && addr + size <= kDramBase + kDramSize) {
-    const std::uint32_t off = addr - kDramBase;
-    if (off + size > dram_used_) grow_dram(off + size);
-    return dram_.data() + off;
+  if (within(addr, size, kDramBase, kDramSize)) {
+    const std::uint32_t end = static_cast<std::uint32_t>(addr - kDramBase + size);
+    if (end > dram_used_) grow_dram(end);
+    return dram_.data() + (addr - kDramBase);
   }
   std::ostringstream os;
   os << "unmapped memory access at 0x" << std::hex << addr << " size " << std::dec << size;
@@ -90,7 +98,7 @@ void AddressSpace::store64(std::uint32_t addr, std::uint64_t value) {
 
 void AddressSpace::write_block(std::uint32_t addr, const std::vector<std::uint8_t>& bytes) {
   if (bytes.empty()) return;
-  std::memcpy(at(addr, static_cast<std::uint32_t>(bytes.size())), bytes.data(), bytes.size());
+  std::memcpy(at(addr, bytes.size()), bytes.data(), bytes.size());
 }
 
 void AddressSpace::copy(std::uint32_t dst, std::uint32_t src, std::uint32_t bytes) {

@@ -48,9 +48,11 @@ class AddressSpace {
   void copy(std::uint32_t dst, std::uint32_t src, std::uint32_t bytes);
 
  private:
-  // Maps an address to backing storage; throws SimError when unmapped.
-  [[nodiscard]] const std::uint8_t* at(std::uint32_t addr, std::uint32_t size) const;
-  [[nodiscard]] std::uint8_t* at(std::uint32_t addr, std::uint32_t size);
+  // Maps [addr, addr + size) to backing storage; throws SimError naming the
+  // address when any byte of it is unmapped. The range is checked in 64-bit
+  // arithmetic, so an access that would wrap past 2^32 is rejected.
+  [[nodiscard]] const std::uint8_t* at(std::uint32_t addr, std::uint64_t size) const;
+  [[nodiscard]] std::uint8_t* at(std::uint32_t addr, std::uint64_t size);
 
   // Extend the lazily-grown DRAM backing store to cover `required` bytes.
   void grow_dram(std::uint32_t required);

@@ -8,7 +8,8 @@ L0ICache::L0ICache(unsigned num_lines, unsigned words_per_line, unsigned branch_
     : num_lines_(num_lines),
       words_per_line_(words_per_line),
       branch_miss_penalty_(branch_miss_penalty),
-      lines_(num_lines, UINT32_MAX) {}
+      lines_(num_lines, UINT32_MAX),
+      line_bytes_(4 * words_per_line) {}
 
 bool L0ICache::present(std::uint32_t line) const noexcept {
   return std::find(lines_.begin(), lines_.end(), line) != lines_.end();
@@ -19,16 +20,16 @@ void L0ICache::install(std::uint32_t line) {
   fifo_head_ = (fifo_head_ + 1) % num_lines_;
 }
 
-unsigned L0ICache::fetch(std::uint32_t pc) {
+unsigned L0ICache::fetch_other_line(std::uint32_t pc) {
   const std::uint32_t line = line_of(pc);
   if (present(line)) {
     ++stats_.hits;
-    last_line_ = line;
+    set_last_line(line);
     return 0;
   }
   install(line);
   const bool sequential = last_line_ != UINT32_MAX && line == last_line_ + 1;
-  last_line_ = line;
+  set_last_line(line);
   if (sequential) {
     // The next-line prefetcher already requested this line from L1.
     ++stats_.sequential_refills;
@@ -42,6 +43,7 @@ void L0ICache::flush() {
   std::fill(lines_.begin(), lines_.end(), UINT32_MAX);
   fifo_head_ = 0;
   last_line_ = UINT32_MAX;
+  last_base_ = kNoLineBase;
 }
 
 }  // namespace copift::mem

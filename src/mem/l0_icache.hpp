@@ -35,7 +35,20 @@ class L0ICache {
 
   /// Fetch the instruction at `pc`. Returns the stall penalty in cycles
   /// (0 on hit or prefetched sequential refill).
-  unsigned fetch(std::uint32_t pc);
+  unsigned fetch(std::uint32_t pc) {
+    if (fetch_from_last_line(pc)) return 0;
+    return fetch_other_line(pc);
+  }
+
+  /// Fetch from the line of the previous fetch, which is always resident:
+  /// FIFO replacement evicts only in install(), and install() also moves
+  /// the last line to the installed one. Counts the hit and returns true,
+  /// or returns false and changes nothing when `pc` lies in another line.
+  bool fetch_from_last_line(std::uint32_t pc) noexcept {
+    if (std::uint64_t{pc} - last_base_ >= line_bytes_) return false;
+    ++stats_.hits;
+    return true;
+  }
 
   /// Total capacity in instructions.
   [[nodiscard]] unsigned capacity_instrs() const noexcept {
@@ -52,6 +65,14 @@ class L0ICache {
   }
   [[nodiscard]] bool present(std::uint32_t line) const noexcept;
   void install(std::uint32_t line);
+  unsigned fetch_other_line(std::uint32_t pc);
+  void set_last_line(std::uint32_t line) noexcept {
+    last_line_ = line;
+    last_base_ = std::uint64_t{line} * line_bytes_;
+  }
+
+  // No line yet: a base above every 32-bit pc, so the last-line test fails.
+  static constexpr std::uint64_t kNoLineBase = std::uint64_t{1} << 40;
 
   unsigned num_lines_;
   unsigned words_per_line_;
@@ -59,6 +80,8 @@ class L0ICache {
   std::vector<std::uint32_t> lines_;  // FIFO of resident line ids
   unsigned fifo_head_ = 0;
   std::uint32_t last_line_ = UINT32_MAX;
+  std::uint32_t line_bytes_;                // 4 * words_per_line_
+  std::uint64_t last_base_ = kNoLineBase;   // first byte of last_line_
   L0Stats stats_;
 };
 

@@ -4,8 +4,36 @@
 
 namespace copift::mem {
 
-std::uint64_t TcdmArbiter::arbitrate(const std::vector<TcdmRequest>& requests) {
+std::uint64_t TcdmArbiter::arbitrate(std::span<const TcdmRequest> requests) {
   if (requests.size() > 64) throw SimError("too many TCDM requests in one cycle");
+  // A cycle without requests is not arbitrated: no grant, no rotation.
+  if (requests.empty()) return 0;
+  // Conflict-free fast path: when every request targets a distinct bank, the
+  // rotating priority order cannot change the outcome, so all are granted
+  // without building the requester chains. This is the common cycle (one
+  // hart, or harts streaming disjoint banks).
+  if (num_banks_ <= 64) {
+    std::uint64_t banks = 0;
+    bool distinct = true;
+    for (const TcdmRequest& r : requests) {
+      const std::uint64_t bit = std::uint64_t{1} << bank_of(r.addr);
+      if ((banks & bit) != 0) {
+        distinct = false;
+        break;
+      }
+      banks |= bit;
+    }
+    if (distinct) {
+      grants_ += requests.size();
+      rr_ = rr_ + 1 == num_requesters_ ? 0 : rr_ + 1;
+      return requests.size() == 64 ? ~std::uint64_t{0}
+                                   : (std::uint64_t{1} << requests.size()) - 1;
+    }
+  }
+  return arbitrate_conflicts(requests);
+}
+
+std::uint64_t TcdmArbiter::arbitrate_conflicts(std::span<const TcdmRequest> requests) {
   std::uint64_t granted = 0;
   // Lazily size the persistent scratch; after warm-up no cycle allocates
   // (this loop runs every simulated cycle of every run in a sweep).
@@ -46,7 +74,7 @@ std::uint64_t TcdmArbiter::arbitrate(const std::vector<TcdmRequest>& requests) {
   // Clear only the banks this cycle touched.
   for (const TcdmRequest& r : requests) bank_taken_[bank_of(r.addr)] = 0;
 
-  rr_ = (rr_ + 1) % num_requesters_;
+  rr_ = rr_ + 1 == num_requesters_ ? 0 : rr_ + 1;
   return granted;
 }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/layout.hpp"
@@ -40,18 +41,22 @@ struct TcdmRequest {
 class TcdmArbiter {
  public:
   explicit TcdmArbiter(unsigned num_banks = 32, unsigned num_harts = 1)
-      : num_banks_(num_banks), num_requesters_(kNumTcdmPorts * num_harts) {}
+      : num_banks_(num_banks),
+        num_requesters_(kNumTcdmPorts * num_harts),
+        bank_mask_((num_banks & (num_banks - 1)) == 0 ? num_banks - 1 : 0) {}
 
   [[nodiscard]] unsigned num_banks() const noexcept { return num_banks_; }
 
   /// Bank index of an address (64-bit interleaving).
   [[nodiscard]] unsigned bank_of(std::uint32_t addr) const noexcept {
-    return (addr >> 3) % num_banks_;
+    return bank_mask_ != 0 ? (addr >> 3) & bank_mask_ : (addr >> 3) % num_banks_;
   }
 
   /// Arbitrate one cycle. Returns a bitmask over `requests` indices: bit i is
-  /// set iff requests[i] was granted. Priority rotates every cycle.
-  std::uint64_t arbitrate(const std::vector<TcdmRequest>& requests);
+  /// set iff requests[i] was granted. Priority rotates on every cycle with at
+  /// least one request; an empty cycle changes nothing. At most 64 requests
+  /// fit the mask; more throw SimError.
+  std::uint64_t arbitrate(std::span<const TcdmRequest> requests);
 
   /// Statistics.
   [[nodiscard]] std::uint64_t conflicts() const noexcept { return conflicts_; }
@@ -59,8 +64,12 @@ class TcdmArbiter {
   void reset_stats() noexcept { conflicts_ = 0; grants_ = 0; }
 
  private:
+  // The rotating-priority walk for cycles where two requests share a bank.
+  std::uint64_t arbitrate_conflicts(std::span<const TcdmRequest> requests);
+
   unsigned num_banks_;
   unsigned num_requesters_;  // kNumTcdmPorts x harts, the rr_ modulus
+  unsigned bank_mask_;       // num_banks_ - 1 for a power of two, else 0 (use %)
   unsigned rr_ = 0;          // rotating priority offset
   std::uint64_t conflicts_ = 0;
   std::uint64_t grants_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <span>
 
 #include "common/error.hpp"
 
@@ -78,74 +79,87 @@ void Cluster::set_tracing(bool enabled) {
   for (auto& cx : complexes_) cx->tracer().set_enabled(enabled);
 }
 
+void Cluster::sync_shared_counters() {
+  // The DMA is cluster-shared; its activity is attributed to hart 0 (and
+  // thereby to the aggregate view).
+  ActivityCounters& c = complexes_.front()->counters();
+  c.dma_busy_cycles = dma_.busy_cycles();
+  c.dma_bytes = dma_.bytes_moved();
+  if (dram_) {
+    c.dram_row_hits = dram_->row_hits();
+    c.dram_row_misses = dram_->row_misses();
+  }
+}
+
 void Cluster::tick() {
   // counters().cycles needs no refresh here: the end of the previous tick
   // left it at cycle_, and mcycle/region reads stamp `now` themselves.
   for (auto& cx : complexes_) cx->fpss().begin_cycle(cycle_);
-  dma_.tick();
+  // An idle DMA engine changes no state and no counter this cycle.
+  const bool dma_busy = dma_.pending() > 0;
+  if (dma_busy) dma_.tick();
 
   // Phase 1: every agent of every hart decides what it wants from the TCDM
-  // this cycle.
-  requests_.clear();
-  tags_.clear();
-  // Whether hart h's core/fpss presented a request this cycle (commit must
-  // still run for them on denial so the tcdm stall is attributed).
-  std::array<std::uint8_t, kMaxHarts> core_pending{};
-  std::array<std::uint8_t, kMaxHarts> fpss_pending{};
-  std::array<std::uint8_t, kMaxHarts> core_granted{};
-  std::array<std::uint8_t, kMaxHarts> fpss_granted{};
+  // this cycle. Each request carries its hart; its port names the agent
+  // (integer LSU, FP LSU, or an SSR lane / the ISSR index port, whose lane
+  // ssr_tags_ records).
+  unsigned n = 0;
+  // Per-hart flags: which agents presented a request (commit must still run
+  // for them on denial so the tcdm stall is attributed) and which were
+  // granted.
+  enum : std::uint8_t {
+    kCorePending = 1,
+    kCoreGranted = 2,
+    kFpssPending = 4,
+    kFpssGranted = 8,
+    kSsrGranted = 16,
+  };
+  std::array<std::uint8_t, kMaxHarts> flags{};
 
   for (unsigned h = 0; h < complexes_.size(); ++h) {
     CoreComplex& cx = *complexes_[h];
     if (const auto core_req = cx.core().prepare(cycle_)) {
-      auto req = *core_req;
-      req.hart = h;
-      requests_.push_back(req);
-      tags_.push_back(RequestTag{h, RequestSrc::kCore, {}});
-      core_pending[h] = 1;
+      requests_[n] = *core_req;
+      requests_[n++].hart = h;
+      flags[h] |= kCorePending;
     }
     if (const auto fpss_req = cx.fpss().prepare(cycle_)) {
-      auto req = *fpss_req;
-      req.hart = h;
-      requests_.push_back(req);
-      tags_.push_back(RequestTag{h, RequestSrc::kFpss, {}});
-      fpss_pending[h] = 1;
+      requests_[n] = *fpss_req;
+      requests_[n++].hart = h;
+      flags[h] |= kFpssPending;
     }
-    ssr_requests_.clear();
-    ssr_tags_.clear();
-    cx.ssr().collect_requests(ssr_requests_, ssr_tags_);
-    for (std::size_t i = 0; i < ssr_requests_.size(); ++i) {
-      auto req = ssr_requests_[i];
-      req.hart = h;
-      requests_.push_back(req);
-      tags_.push_back(RequestTag{h, RequestSrc::kSsr, ssr_tags_[i]});
-    }
+    n += cx.ssr().collect_requests(h, std::span(requests_).subspan(n),
+                                   std::span(ssr_tags_).subspan(n));
   }
 
-  // Phase 2: bank arbitration over the shared TCDM.
-  const std::uint64_t grants = requests_.empty() ? 0 : arbiter_.arbitrate(requests_);
+  // Phase 2: bank arbitration over the shared TCDM (most cycles of a
+  // compute-bound kernel present no request and skip the call).
+  const std::uint64_t grants = n == 0 ? 0 : arbiter_.arbitrate(std::span(requests_.data(), n));
 
   // Phase 3: commit, attributing every grant/denial to the owning hart.
-  for (std::size_t i = 0; i < requests_.size(); ++i) {
+  for (unsigned i = 0; i < n; ++i) {
     const bool granted = (grants >> i) & 1;
-    CoreComplex& cx = *complexes_[tags_[i].hart];
+    const unsigned h = requests_[i].hart;
+    CoreComplex& cx = *complexes_[h];
     if (!granted) ++cx.counters().tcdm_conflicts;
-    switch (tags_[i].src) {
-      case RequestSrc::kCore:
-        core_granted[tags_[i].hart] = granted ? 1 : 0;
+    switch (requests_[i].port) {
+      case mem::TcdmPort::kIntLsu:
+        if (granted) flags[h] |= kCoreGranted;
         break;
-      case RequestSrc::kFpss:
-        fpss_granted[tags_[i].hart] = granted ? 1 : 0;
+      case mem::TcdmPort::kFpLsu:
+        if (granted) flags[h] |= kFpssGranted;
         break;
-      case RequestSrc::kSsr:
+      default:
         if (granted) {
+          const ssr::SsrUnit::RequestTag& tag = ssr_tags_[i];
           ActivityCounters& c = cx.counters();
-          cx.ssr().apply_grant(tags_[i].ssr_tag);
+          cx.ssr().apply_grant(tag);
+          flags[h] |= kSsrGranted;
           ++c.ssr_elements;
-          if (tags_[i].ssr_tag.index) {
+          if (tag.index) {
             ++c.issr_indices;
             ++c.tcdm_reads;
-          } else if (cx.ssr().lane(tags_[i].ssr_tag.lane).is_write_stream()) {
+          } else if (cx.ssr().lane(tag.lane).is_write_stream()) {
             ++c.tcdm_writes;
           } else {
             ++c.tcdm_reads;
@@ -155,20 +169,15 @@ void Cluster::tick() {
     }
   }
   for (unsigned h = 0; h < complexes_.size(); ++h) {
+    const std::uint8_t f = flags[h];
+    if (f == 0) continue;
     CoreComplex& cx = *complexes_[h];
-    if (core_pending[h]) cx.core().commit(cycle_, core_granted[h] != 0);
-    if (fpss_pending[h]) cx.fpss().commit(cycle_, fpss_granted[h] != 0);
-    cx.ssr().commit_cycle();
+    if (f & kCorePending) cx.core().commit(cycle_, (f & kCoreGranted) != 0);
+    if (f & kFpssPending) cx.fpss().commit(cycle_, (f & kFpssGranted) != 0);
+    if (f & kSsrGranted) cx.ssr().commit_cycle();
   }
 
-  // The DMA is cluster-shared; its activity is attributed to hart 0 (and
-  // thereby to the aggregate view).
-  complexes_.front()->counters().dma_busy_cycles = dma_.busy_cycles();
-  complexes_.front()->counters().dma_bytes = dma_.bytes_moved();
-  if (dram_) {
-    complexes_.front()->counters().dram_row_hits = dram_->row_hits();
-    complexes_.front()->counters().dram_row_misses = dram_->row_misses();
-  }
+  if (dma_busy) sync_shared_counters();
   ++cycle_;
   for (auto& cx : complexes_) cx->counters().cycles = cycle_;
 }
@@ -210,12 +219,7 @@ bool Cluster::try_skip() {
     cx.fpss().skip_stall(cycle_, n, fpss_wake[h].cause);
   }
   dma_.advance(n);
-  complexes_.front()->counters().dma_busy_cycles = dma_.busy_cycles();
-  complexes_.front()->counters().dma_bytes = dma_.bytes_moved();
-  if (dram_) {
-    complexes_.front()->counters().dram_row_hits = dram_->row_hits();
-    complexes_.front()->counters().dram_row_misses = dram_->row_misses();
-  }
+  sync_shared_counters();
   cycle_ = window;
   for (auto& cx : complexes_) cx->counters().cycles = cycle_;
   ++skip_jumps_;

@@ -15,6 +15,7 @@
 // the simulation is bit-identical to the pre-topology model.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -128,13 +129,8 @@ class Cluster {
   /// Probe every agent; on a provable all-harts wait, jump the clock and
   /// return true. Returns false (without ticking) when no skip is possible.
   bool try_skip();
-
-  enum class RequestSrc : std::uint8_t { kCore, kFpss, kSsr };
-  struct RequestTag {
-    unsigned hart;
-    RequestSrc src;
-    ssr::SsrUnit::RequestTag ssr_tag;
-  };
+  /// Copy the cluster-shared DMA/DRAM statistics into hart 0's counters.
+  void sync_shared_counters();
 
   std::shared_ptr<const rvasm::Program> program_;
   // Decode-once micro-op table, shared across clusters running the same
@@ -163,12 +159,15 @@ class Cluster {
   std::uint64_t next_probe_ = 0;
   // Rebuilt on demand by counters() for multi-hart clusters.
   mutable ActivityCounters agg_;
-  // tick() scratch space, kept as members so the per-cycle hot path does no
-  // heap allocation (the vectors are cleared, not reallocated, every cycle).
-  std::vector<mem::TcdmRequest> requests_;
-  std::vector<RequestTag> tags_;
-  std::vector<mem::TcdmRequest> ssr_requests_;
-  std::vector<ssr::SsrUnit::RequestTag> ssr_tags_;
+  // tick()'s per-cycle TCDM requests, filled afresh every cycle: at most one
+  // per (hart, port) pair, so the arbiter's 64-bit grant mask covers them.
+  // ssr_tags_[i] is meaningful only where requests_[i] is an SSR request.
+  static constexpr unsigned kMaxRequests = kMaxHarts * mem::kNumTcdmPorts;
+  static_assert(kMaxRequests <= 64, "grant mask is 64 bits wide");
+  static_assert(ssr::SsrUnit::kMaxRequests + 2 <= mem::kNumTcdmPorts,
+                "a hart presents at most one request per port");
+  std::array<mem::TcdmRequest, kMaxRequests> requests_;
+  std::array<ssr::SsrUnit::RequestTag, kMaxRequests> ssr_tags_;
 };
 
 }  // namespace copift::sim

@@ -279,7 +279,7 @@ std::optional<mem::TcdmRequest> IntCore::prepare(std::uint64_t now) {
 
   // Drain at most one FPSS integer writeback through the shared write port
   // (even after ecall, so in-flight FP results land before the run ends).
-  if (wb_free(now)) {
+  if (fpss_->has_int_writeback() && wb_free(now)) {
     if (const auto wb = fpss_->take_int_writeback()) {
       book_wb(now);
       if (wb->rd != 0) {
@@ -305,14 +305,19 @@ std::optional<mem::TcdmRequest> IntCore::prepare(std::uint64_t now) {
   }
   if (!fetch_done_) {
     op_ = &decoded_->op(decoded_->index_of(pc_));
-    const unsigned penalty = icache_->fetch(pc_);
     fetch_done_ = true;
-    counters_->l0_hits = icache_->stats().hits;
-    counters_->l0_refills = icache_->stats().refills();
-    if (penalty > 0) {
-      fetch_stall_ = penalty - 1;  // this cycle is the first stall cycle
-      account(now, StallCause::kIntFrontend);
-      return std::nullopt;
+    // Straight-line code stays in the last-fetched line: a counted hit.
+    if (icache_->fetch_from_last_line(pc_)) {
+      ++counters_->l0_hits;
+    } else {
+      const unsigned penalty = icache_->fetch(pc_);
+      counters_->l0_hits = icache_->stats().hits;
+      counters_->l0_refills = icache_->stats().refills();
+      if (penalty > 0) {
+        fetch_stall_ = penalty - 1;  // this cycle is the first stall cycle
+        account(now, StallCause::kIntFrontend);
+        return std::nullopt;
+      }
     }
   }
 

@@ -31,6 +31,7 @@ DecodedProgram::DecodedProgram(std::shared_ptr<const rvasm::Program> program)
     if (meta.rs1_class == RegClass::kInt) op.flags |= MicroOp::kRs1Int;
     ops_.push_back(op);
   }
+  text_bytes_ = static_cast<std::uint32_t>(ops_.size()) * 4;
 }
 
 std::shared_ptr<const DecodedProgram> DecodedProgram::get(
@@ -56,12 +57,11 @@ std::shared_ptr<const DecodedProgram> DecodedProgram::get(
   return decoded;
 }
 
-std::uint32_t DecodedProgram::index_of(std::uint32_t pc) const {
-  if (pc < text_base_ || (pc - text_base_) / 4 >= ops_.size()) {
+void DecodedProgram::throw_bad_text_address(std::uint32_t pc) const {
+  if (pc < text_base_ || pc - text_base_ >= text_bytes_) {
     throw Error("address outside text section: " + std::to_string(pc));
   }
-  if ((pc & 3U) != 0) throw Error("misaligned text address");
-  return (pc - text_base_) / 4;
+  throw Error("misaligned text address");
 }
 
 }  // namespace copift::sim

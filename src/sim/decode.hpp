@@ -64,8 +64,13 @@ class DecodedProgram {
 
   /// Micro-op index for a text address; throws copift::Error on addresses
   /// outside the text section or misaligned ones (same contract as
-  /// Program::text_index).
-  [[nodiscard]] std::uint32_t index_of(std::uint32_t pc) const;
+  /// Program::text_index). Inline, with one compare and a shift, because the
+  /// integer core calls it on every fetched instruction.
+  [[nodiscard]] std::uint32_t index_of(std::uint32_t pc) const {
+    const std::uint32_t offset = pc - text_base_;
+    if (offset < text_bytes_ && (pc & 3U) == 0) return offset >> 2;
+    throw_bad_text_address(pc);
+  }
 
   [[nodiscard]] const MicroOp& op(std::uint32_t index) const noexcept { return ops_[index]; }
   [[nodiscard]] std::uint32_t size() const noexcept {
@@ -74,9 +79,12 @@ class DecodedProgram {
   [[nodiscard]] const rvasm::Program& program() const noexcept { return *program_; }
 
  private:
+  [[noreturn]] void throw_bad_text_address(std::uint32_t pc) const;
+
   std::shared_ptr<const rvasm::Program> program_;
   std::vector<MicroOp> ops_;
   std::uint32_t text_base_ = 0;
+  std::uint32_t text_bytes_ = 0;  // 4 * ops_.size()
 };
 
 }  // namespace copift::sim

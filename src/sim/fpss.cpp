@@ -138,7 +138,7 @@ void FpSubsystem::schedule_completion(std::uint64_t cycle, Completion c) {
   std::push_heap(completions_.begin(), completions_.end(), CompletionLater{});
 }
 
-void FpSubsystem::begin_cycle(std::uint64_t now) {
+void FpSubsystem::retire(std::uint64_t now) {
   // Retire completions due this cycle, oldest (cycle, seq) first.
   while (!completions_.empty() && completions_.front().cycle <= now) {
     std::pop_heap(completions_.begin(), completions_.end(), CompletionLater{});
@@ -148,11 +148,9 @@ void FpSubsystem::begin_cycle(std::uint64_t now) {
     completions_.pop_back();
   }
   // SSR write-stream drains complete their producing instructions.
-  for (unsigned lane = 0; lane < isa::kNumSsrLanes; ++lane) {
-    ssr::SsrLane& l = ssr_->lane(lane);
-    if (!l.has_drained_tokens()) continue;
-    for (std::uint64_t epoch : l.drained_tokens()) complete_epoch(epoch);
-    l.clear_drained_tokens();
+  if (ssr_->has_drained_tokens()) {
+    for (std::uint64_t epoch : ssr_->drained_tokens()) complete_epoch(epoch);
+    ssr_->clear_drained_tokens();
   }
 }
 
@@ -296,7 +294,7 @@ bool FpSubsystem::try_issue_compute(std::uint64_t now, const OffloadEntry& entry
     sequencer_.advance();
   } else {
     if (sequencer_.recording()) {
-      sequencer_.record(frep::FrepEntry{entry.instr, entry.epoch});
+      sequencer_.record(frep::FrepEntry{entry.instr, entry.epoch, entry.meta});
       // The first iteration already ran; replays re-enter via the sequencer.
     }
     fifo_.pop_front();
@@ -311,7 +309,7 @@ std::optional<mem::TcdmRequest> FpSubsystem::prepare(std::uint64_t now) {
     const frep::FrepEntry& e = sequencer_.current();
     OffloadEntry entry;
     entry.instr = e.instr;
-    entry.meta = &e.instr.meta();
+    entry.meta = e.meta != nullptr ? e.meta : &e.instr.meta();
     entry.kind = OffloadKind::kCompute;
     entry.epoch = e.epoch;
     try_issue_compute(now, entry, /*from_replay=*/true);
@@ -424,7 +422,7 @@ WakeInfo FpSubsystem::probe_compute(std::uint64_t now, const isa::Instr& instr,
 WakeInfo FpSubsystem::probe_issue(std::uint64_t now) const {
   if (sequencer_.replaying()) {
     const frep::FrepEntry& e = sequencer_.current();
-    return probe_compute(now, e.instr, e.instr.meta());
+    return probe_compute(now, e.instr, e.meta != nullptr ? *e.meta : e.instr.meta());
   }
   if (fifo_.empty()) return WakeInfo::blocked(StallCause::kFpIdle);
   const OffloadEntry& head = fifo_.front();
@@ -473,9 +471,7 @@ WakeInfo FpSubsystem::probe(std::uint64_t now) const {
     if (completions_.front().cycle <= now) return WakeInfo::progress();
     event = completions_.front().cycle;
   }
-  for (unsigned lane = 0; lane < isa::kNumSsrLanes; ++lane) {
-    if (ssr_->lane(lane).has_drained_tokens()) return WakeInfo::progress();
-  }
+  if (ssr_->has_drained_tokens()) return WakeInfo::progress();
   const WakeInfo stall = probe_issue(now);
   if (stall.kind == WakeInfo::Kind::kProgress) return stall;
   // The earliest pending completion caps any sleep: at that cycle

@@ -156,14 +156,15 @@ bool SsrLane::wants_index_access(std::uint32_t& addr) const {
   return true;
 }
 
-void SsrLane::data_granted(mem::AddressSpace& memory) {
+std::uint64_t SsrLane::data_granted(mem::AddressSpace& memory) {
   std::uint32_t addr = 0;
   if (!wants_data_access(addr)) throw SimError("unexpected SSR data grant");
+  std::uint64_t token = kNoToken;
   if (write_) {
     memory.store64(addr, fifo_.front());
     fifo_.pop_front();
     if (!token_fifo_.empty()) {
-      if (token_fifo_.front() != kNoToken) drained_tokens_.push_back(token_fifo_.front());
+      token = token_fifo_.front();
       token_fifo_.pop_front();
     }
     gen_.advance();
@@ -176,6 +177,7 @@ void SsrLane::data_granted(mem::AddressSpace& memory) {
       gen_.advance();
     }
   }
+  return token;
 }
 
 void SsrLane::index_granted(mem::AddressSpace& memory) {
@@ -213,30 +215,33 @@ bool SsrUnit::all_idle() const noexcept {
   return true;
 }
 
-void SsrUnit::collect_requests(std::vector<mem::TcdmRequest>& requests,
-                               std::vector<RequestTag>& tags) const {
+unsigned SsrUnit::collect_armed(unsigned hart, std::span<mem::TcdmRequest> requests,
+                                std::span<RequestTag> tags) const {
+  unsigned n = 0;
   bool index_port_used = false;
   for (unsigned i = 0; i < lanes_.size(); ++i) {
     std::uint32_t addr = 0;
     // The ISSR index port is shared: one index fetch per cycle.
     if (!index_port_used && lanes_[i].wants_index_access(addr)) {
-      requests.push_back({mem::TcdmPort::kIssrIndex, addr});
-      tags.push_back({i, /*index=*/true});
+      requests[n] = {mem::TcdmPort::kIssrIndex, addr, hart};
+      tags[n++] = {i, /*index=*/true};
       index_port_used = true;
     }
     if (lanes_[i].wants_data_access(addr)) {
       const auto port = static_cast<mem::TcdmPort>(static_cast<unsigned>(mem::TcdmPort::kSsr0) + i);
-      requests.push_back({port, addr});
-      tags.push_back({i, /*index=*/false});
+      requests[n] = {port, addr, hart};
+      tags[n++] = {i, /*index=*/false};
     }
   }
+  return n;
 }
 
 void SsrUnit::apply_grant(const RequestTag& tag) {
   if (tag.index) {
     lanes_[tag.lane].index_granted(*memory_);
-  } else {
-    lanes_[tag.lane].data_granted(*memory_);
+  } else if (const std::uint64_t token = lanes_[tag.lane].data_granted(*memory_);
+             token != SsrLane::kNoToken) {
+    drained_tokens_.push_back(token);
   }
 }
 

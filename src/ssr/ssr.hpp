@@ -14,6 +14,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/ring.hpp"
@@ -86,6 +87,8 @@ class SsrLane {
   // --- processor-side interface ---
   [[nodiscard]] bool is_read_stream() const noexcept { return active_ && !write_; }
   [[nodiscard]] bool is_write_stream() const noexcept { return active_ && write_; }
+  /// Armed as a stream at least once (a lane never armed wants no access).
+  [[nodiscard]] bool armed() const noexcept { return active_; }
   [[nodiscard]] bool can_pop() const noexcept { return ready_ > 0; }
   /// Number of elements consumable this cycle (instructions reading the same
   /// stream register multiple times pop once per operand occurrence).
@@ -95,20 +98,11 @@ class SsrLane {
     return fifo_.size() < fifo_depth_;
   }
   /// Push a value into a write stream. `token` (if not kNoToken) is handed
-  /// back via take_drained_tokens() once the value has landed in memory —
-  /// the FPSS uses this to defer instruction completion until the store is
+  /// back by data_granted() once the value has landed in memory — the FPSS
+  /// uses this to defer instruction completion until the store is
   /// architecturally visible (required by copift.barrier).
   static constexpr std::uint64_t kNoToken = ~std::uint64_t{0};
   void push(std::uint64_t value, std::uint64_t token = kNoToken);
-  /// Tokens whose values have landed in memory since the consumer last
-  /// called clear_drained_tokens(). Split into check/read/clear (instead of
-  /// a take-by-value call) so the common nothing-drained cycle touches no
-  /// heap: the backing vector is persistent and merely cleared.
-  [[nodiscard]] bool has_drained_tokens() const noexcept { return !drained_tokens_.empty(); }
-  [[nodiscard]] const std::vector<std::uint64_t>& drained_tokens() const noexcept {
-    return drained_tokens_;
-  }
-  void clear_drained_tokens() noexcept { drained_tokens_.clear(); }
 
   /// Lane has no pending work (drained writes / exhausted reads).
   [[nodiscard]] bool idle() const noexcept;
@@ -118,8 +112,9 @@ class SsrLane {
   [[nodiscard]] bool wants_data_access(std::uint32_t& addr) const;
   /// Does this lane want an ISSR index fetch this cycle?
   [[nodiscard]] bool wants_index_access(std::uint32_t& addr) const;
-  /// Called when the data access was granted.
-  void data_granted(mem::AddressSpace& memory);
+  /// Called when the data access was granted. Returns the token of a
+  /// write-stream value that just landed in memory, else kNoToken.
+  std::uint64_t data_granted(mem::AddressSpace& memory);
   /// Called when the index access was granted.
   void index_granted(mem::AddressSpace& memory);
   /// End-of-cycle bookkeeping: freshly fetched data becomes consumable.
@@ -149,7 +144,6 @@ class SsrLane {
   bool has_last_ = false;
   // Indirection (ISSR).
   RingFifo<std::uint64_t> token_fifo_;
-  std::vector<std::uint64_t> drained_tokens_;
   bool indirect_ = false;
   std::uint32_t idx_remaining_ = 0;
   AffineGenerator idx_gen_;
@@ -184,20 +178,47 @@ class SsrUnit {
     return false;
   }
 
-  /// Gather this cycle's TCDM requests (appends to `requests`, recording
-  /// which lane/kind each request belongs to in `tags`).
+  /// ISSR index fetch or lane data access behind one of this cycle's requests.
   struct RequestTag {
     unsigned lane;
     bool index;  // ISSR index fetch rather than data access
   };
-  void collect_requests(std::vector<mem::TcdmRequest>& requests,
-                        std::vector<RequestTag>& tags) const;
+  /// Most TCDM requests the unit presents in one cycle: one data access per
+  /// lane plus the shared ISSR index port.
+  static constexpr unsigned kMaxRequests = isa::kNumSsrLanes + 1;
+  /// Write this cycle's TCDM requests, issued as `hart`, into `requests`
+  /// and which lane/kind each belongs to into `tags` (both must hold
+  /// kMaxRequests entries); returns how many were written.
+  unsigned collect_requests(unsigned hart, std::span<mem::TcdmRequest> requests,
+                            std::span<RequestTag> tags) const {
+    // Inline early out: code that never arms a lane pays three loads.
+    for (const auto& lane : lanes_) {
+      if (lane.armed()) return collect_armed(hart, requests, tags);
+    }
+    return 0;
+  }
   void apply_grant(const RequestTag& tag);
+
+  /// Tokens of write-stream values (see SsrLane::push) that landed in memory
+  /// since the consumer last called clear_drained_tokens(). One list for
+  /// all lanes, so the FPSS checks a single vector on the common cycle with
+  /// nothing drained; the backing vector is persistent and merely cleared.
+  [[nodiscard]] bool has_drained_tokens() const noexcept { return !drained_tokens_.empty(); }
+  [[nodiscard]] const std::vector<std::uint64_t>& drained_tokens() const noexcept {
+    return drained_tokens_;
+  }
+  void clear_drained_tokens() noexcept { drained_tokens_.clear(); }
+  /// End-of-cycle bookkeeping after granted data accesses (lanes with no
+  /// grant this cycle have nothing to commit).
   void commit_cycle();
 
  private:
+  unsigned collect_armed(unsigned hart, std::span<mem::TcdmRequest> requests,
+                         std::span<RequestTag> tags) const;
+
   mem::AddressSpace* memory_;
   std::array<SsrLane, isa::kNumSsrLanes> lanes_{};
+  std::vector<std::uint64_t> drained_tokens_;
   bool enabled_ = false;
 };
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <set>
+#include <string>
 #include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
@@ -284,6 +285,26 @@ TEST(DebugHub, MemoryAccessReadsProgramDataAndText) {
   EXPECT_THROW((void)f.hub->read_mem(0x4000'0000u, 4), SimError);
 }
 
+// The last byte below 2^32 used to wrap the bounds check, so `m`/`M` could
+// read and write host memory about 4 GiB past the TCDM backing store.
+TEST(DebugHub, MemoryAccessAtTopOfAddressSpaceThrows) {
+  HubFixture f("axpy", Variant::kCopift, 1);
+  for (const bool write : {false, true}) {
+    try {
+      if (write) {
+        f.hub->write_mem(0xFFFF'FFFFu, {0xAB});
+      } else {
+        (void)f.hub->read_mem(0xFFFF'FFFFu, 1);
+      }
+      FAIL() << "expected an unmapped access";
+    } catch (const SimError& e) {
+      EXPECT_NE(std::string(e.what()).find("unmapped memory access at 0xffffffff"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(DebugHub, SymbolizeNamesTextAddresses) {
   HubFixture f("axpy", Variant::kCopift, 1);
   const rvasm::Program& prog = f.cluster->program();
@@ -433,6 +454,9 @@ TEST(GdbStub, EndToEndSessionOverSocket) {
     char mpkt[32];
     std::snprintf(mpkt, sizeof(mpkt), "m%x,4", bp);
     EXPECT_EQ(client.cmd(mpkt).size(), 8u);
+    // The top byte of the address space is unmapped, not host memory.
+    EXPECT_EQ(client.cmd("mffffffff,1"), "E14");
+    EXPECT_EQ(client.cmd("Mffffffff,1:ab"), "E14");
 
     // Monitor: stall attribution and symbolized where.
     const auto stalls = rsp::from_hex(client.cmd("qRcmd," + rsp::to_hex("stalls")));

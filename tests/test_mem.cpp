@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <random>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/layout.hpp"
@@ -39,6 +40,51 @@ TEST(AddressSpace, UnmappedThrows) {
   EXPECT_THROW(m.load32(0x100), SimError);
   EXPECT_THROW(m.store32(kTcdmBase + kTcdmSize, 1), SimError);
   EXPECT_THROW(m.load64(kTcdmBase + kTcdmSize - 4), SimError);  // straddles end
+}
+
+/// Expects `fn` to throw the SimError for an unmapped access naming `addr`.
+template <typename Fn>
+void expect_unmapped(Fn&& fn, const std::string& addr) {
+  try {
+    fn();
+    FAIL() << "expected an unmapped access at " << addr;
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("unmapped memory access at " + addr),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// Ranges ending past 2^32 used to wrap in the 32-bit bounds check and map to
+// host memory about 4 GiB past the TCDM backing store.
+TEST(AddressSpace, AccessesWrappingPastTopThrow) {
+  AddressSpace m;
+  expect_unmapped([&] { m.store32(0xFFFF'FFFCu, 1); }, "0xfffffffc");
+  expect_unmapped([&] { (void)m.load32(0xFFFF'FFFEu); }, "0xfffffffe");
+  expect_unmapped([&] { (void)m.load64(0xFFFF'FFFFu); }, "0xffffffff");
+  expect_unmapped([&] { (void)m.load8(0xFFFF'FFFFu); }, "0xffffffff");
+  expect_unmapped([&] { m.store8(0xFFFF'FFFFu, 1); }, "0xffffffff");
+}
+
+TEST(AddressSpace, WriteBlockWrappingPastTopThrows) {
+  AddressSpace m;
+  expect_unmapped([&] { m.write_block(0xFFFF'FFFCu, {1, 2, 3, 4, 5, 6, 7, 8}); },
+                  "0xfffffffc");
+}
+
+TEST(AddressSpace, CopyWrappingPastTopThrows) {
+  AddressSpace m;
+  expect_unmapped([&] { m.copy(0xFFFF'FFC0u, kTcdmBase, 128); }, "0xffffffc0");
+  expect_unmapped([&] { m.copy(kTcdmBase, 0xFFFF'FFC0u, 128); }, "0xffffffc0");
+}
+
+TEST(Dma, TransferWrappingPastTopThrows) {
+  AddressSpace m;
+  DmaEngine dma(m, 128);
+  dma.set_src(kTcdmBase);
+  dma.set_dst(0xFFFF'FFC0u);
+  dma.start(128);
+  expect_unmapped([&] { dma.tick(); }, "0xffffffc0");
 }
 
 TEST(AddressSpace, BlockWriteAndCopy) {
@@ -130,18 +176,27 @@ class ReferenceArbiter {
     });
     for (unsigned i : order) {
       const unsigned bank = (requests[i].addr >> 3) % num_banks_;
-      if (bank_taken[bank]) continue;
+      if (bank_taken[bank]) {
+        ++conflicts_;
+        continue;
+      }
       bank_taken[bank] = true;
       granted |= (std::uint64_t{1} << i);
+      ++grants_;
     }
     rr_ = (rr_ + 1) % num_requesters_;
     return granted;
   }
 
+  [[nodiscard]] std::uint64_t grants() const noexcept { return grants_; }
+  [[nodiscard]] std::uint64_t conflicts() const noexcept { return conflicts_; }
+
  private:
   unsigned num_banks_;
   unsigned num_requesters_;
   unsigned rr_ = 0;
+  std::uint64_t grants_ = 0;
+  std::uint64_t conflicts_ = 0;
 };
 
 }  // namespace
@@ -177,6 +232,80 @@ TEST(Tcdm, RotatingIterationMatchesStableSortReference) {
   }
   EXPECT_EQ(arb.grants(), total_grants);
   EXPECT_GT(arb.conflicts(), 0u);  // the pattern actually exercised conflicts
+}
+
+/// One cycle's requests: each (hart, port) pair presents at most one, like
+/// the cluster. `kind` picks the shape: 0 no requests, 1 a single request,
+/// 2 several requests on pairwise distinct banks (the conflict-free path),
+/// 3 several requests on a few banks (conflicts likely).
+std::vector<TcdmRequest> random_cycle(std::mt19937& rng, unsigned kind, unsigned banks,
+                                      unsigned harts) {
+  std::vector<TcdmRequest> reqs;
+  if (kind == 0) return reqs;
+  std::vector<unsigned> free_banks(banks);
+  for (unsigned b = 0; b < banks; ++b) free_banks[b] = b;
+  std::shuffle(free_banks.begin(), free_banks.end(), rng);
+  for (unsigned h = 0; h < harts; ++h) {
+    for (unsigned p = 0; p < kNumTcdmPorts; ++p) {
+      if (kind == 1 ? !reqs.empty() || rng() % (harts * kNumTcdmPorts) != 0 : rng() % 3 != 0) {
+        continue;
+      }
+      unsigned bank = 0;
+      if (kind == 3) {
+        bank = rng() % 4;
+      } else if (reqs.size() < free_banks.size()) {
+        bank = free_banks[reqs.size()];
+      } else {
+        break;
+      }
+      // Any word of the bank: the row above the bank index varies too.
+      const std::uint32_t word = bank + banks * static_cast<std::uint32_t>(rng() % 16);
+      reqs.push_back(TcdmRequest{static_cast<TcdmPort>(p), kTcdmBase + word * 8, h});
+    }
+  }
+  if (kind == 1 && reqs.empty()) {
+    const auto word = static_cast<std::uint32_t>(rng() % banks);
+    reqs.push_back(TcdmRequest{TcdmPort::kIntLsu, kTcdmBase + 8 * word,
+                               static_cast<unsigned>(rng() % harts)});
+  }
+  return reqs;
+}
+
+// The conflict-free path must grant exactly what the rotating-priority walk
+// grants, keep grants()/conflicts() exact, and rotate the priority only on
+// cycles that arbitrate: empty cycles are skipped on the reference, so a
+// rotation on them shows as a diverging grant mask on a later conflicting
+// cycle. Covers power-of-two, other and more-than-64 bank counts (the last
+// always takes the fallback walk).
+TEST(Tcdm, ConflictFreePathMatchesReference) {
+  for (const unsigned banks : {32u, 8u, 24u, 128u}) {
+    for (const unsigned harts : {1u, 4u, 8u}) {
+      TcdmArbiter arb(banks, harts);
+      ReferenceArbiter ref(banks, harts);
+      std::mt19937 rng(banks * 131 + harts);
+      unsigned seen[4] = {};
+      for (int cycle = 0; cycle < 4000; ++cycle) {
+        const unsigned kind = rng() % 4;
+        const std::vector<TcdmRequest> reqs = random_cycle(rng, kind, banks, harts);
+        ++seen[kind];
+        const std::uint64_t got = arb.arbitrate(reqs);
+        if (reqs.empty()) {
+          EXPECT_EQ(got, 0u);
+          continue;  // no arbitration: the reference is not called either
+        }
+        const std::uint64_t want = ref.arbitrate(reqs);
+        ASSERT_EQ(got, want) << banks << " banks, " << harts << " harts, cycle " << cycle
+                             << " (kind " << kind << ", " << reqs.size() << " requests)";
+        ASSERT_EQ(arb.grants(), ref.grants()) << "cycle " << cycle;
+        ASSERT_EQ(arb.conflicts(), ref.conflicts()) << "cycle " << cycle;
+        if (kind == 2) {
+          EXPECT_EQ(got, (std::uint64_t{1} << reqs.size()) - 1);  // all distinct: all granted
+        }
+      }
+      for (const unsigned n : seen) EXPECT_GT(n, 0u);
+      EXPECT_GT(arb.conflicts(), 0u);
+    }
+  }
 }
 
 TEST(L0, SequentialStreamIsPrefetched) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "common/layout.hpp"
@@ -242,6 +244,56 @@ wait:
 TEST(SimCore, EbreakThrows) {
   Cluster cluster(rvasm::assemble("ebreak\n"));
   EXPECT_THROW(cluster.run(), SimError);
+}
+
+/// Runs `src` and expects the SimError for an unmapped access, naming `addr`.
+void expect_unmapped_access(const std::string& src, const std::string& addr) {
+  Cluster cluster(rvasm::assemble(src));
+  try {
+    cluster.run();
+    FAIL() << "expected an unmapped access at " << addr;
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("unmapped memory access at " + addr),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// Addresses within an access's size of 2^32 used to wrap the bounds check
+// and reach host memory far past the TCDM backing store.
+TEST(SimCore, StoreNearTopOfAddressSpaceThrows) {
+  expect_unmapped_access(R"(
+  li a0, -4
+  li a1, 0x1234
+  sw a1, 0(a0)
+  ecall
+)",
+                         "0xfffffffc");
+}
+
+TEST(SimCore, LoadNearTopOfAddressSpaceThrows) {
+  expect_unmapped_access(R"(
+  li a0, -2
+  lw a1, 0(a0)
+  ecall
+)",
+                         "0xfffffffe");
+}
+
+TEST(SimCore, SsrPointerNearTopOfAddressSpaceThrows) {
+  expect_unmapped_access(R"(
+  csrsi ssr, 1
+  li t0, 0
+  scfgwi t0, 1         # lane0 bound0 = 0 (one element)
+  li t0, 8
+  scfgwi t0, 5         # lane0 stride0 = 8
+  li t0, -1
+  scfgwi t0, 24        # lane0 RPTR0 = 0xffffffff
+  fadd.d fa0, ft0, fa1
+  csrci ssr, 1
+  ecall
+)",
+                         "0xffffffff");
 }
 
 TEST(SimCore, MaxCyclesGuard) {

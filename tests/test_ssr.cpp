@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <random>
 
 #include "common/error.hpp"
@@ -148,13 +149,29 @@ TEST(SsrLane, WriteTokensReportDrain) {
   h.lane.write_cfg(kRegStride0, 8);
   h.lane.write_cfg(kRegWptr0, kTcdmBase);
   h.lane.push(7, /*token=*/42);
-  EXPECT_FALSE(h.lane.has_drained_tokens());
-  h.pump_data();
-  ASSERT_TRUE(h.lane.has_drained_tokens());
-  ASSERT_EQ(h.lane.drained_tokens().size(), 1u);
-  EXPECT_EQ(h.lane.drained_tokens()[0], 42u);
-  h.lane.clear_drained_tokens();
-  EXPECT_FALSE(h.lane.has_drained_tokens());  // consumed
+  h.lane.push(8);  // no token
+  EXPECT_EQ(h.lane.data_granted(h.memory), 42u);
+  EXPECT_EQ(h.lane.data_granted(h.memory), SsrLane::kNoToken);
+  EXPECT_EQ(h.memory.load64(kTcdmBase), 7u);
+  EXPECT_EQ(h.memory.load64(kTcdmBase + 8), 8u);
+}
+
+TEST(SsrUnit, DrainedTokensCollectAcrossLanes) {
+  mem::AddressSpace memory;
+  SsrUnit unit(memory);
+  for (unsigned lane : {0u, 2u}) {
+    unit.write_cfg(lane * 32 + kRegBound0, 0);
+    unit.write_cfg(lane * 32 + kRegStride0, 8);
+    unit.write_cfg(lane * 32 + kRegWptr0, kTcdmBase + lane * 64);
+    unit.lane(lane).push(lane, /*token=*/100 + lane);
+  }
+  EXPECT_FALSE(unit.has_drained_tokens());
+  unit.apply_grant({2, /*index=*/false});
+  unit.apply_grant({0, /*index=*/false});
+  ASSERT_TRUE(unit.has_drained_tokens());
+  EXPECT_EQ(unit.drained_tokens(), (std::vector<std::uint64_t>{102, 100}));
+  unit.clear_drained_tokens();
+  EXPECT_FALSE(unit.has_drained_tokens());  // consumed
 }
 
 TEST(SsrLane, RepeatDeliversElementTwice) {
@@ -243,12 +260,13 @@ TEST(SsrUnit, CollectRequestsTagsLanes) {
   unit.write_cfg(2 * 32 + kRegBound0, 3);
   unit.write_cfg(2 * 32 + kRegStride0, 8);
   unit.write_cfg(2 * 32 + kRegRptr0, kTcdmBase + 256);
-  std::vector<mem::TcdmRequest> reqs;
-  std::vector<SsrUnit::RequestTag> tags;
-  unit.collect_requests(reqs, tags);
-  ASSERT_EQ(reqs.size(), 2u);
+  std::array<mem::TcdmRequest, SsrUnit::kMaxRequests> reqs{};
+  std::array<SsrUnit::RequestTag, SsrUnit::kMaxRequests> tags{};
+  ASSERT_EQ(unit.collect_requests(3, reqs, tags), 2u);
   EXPECT_EQ(reqs[0].port, mem::TcdmPort::kSsr0);
   EXPECT_EQ(reqs[1].port, mem::TcdmPort::kSsr2);
+  EXPECT_EQ(reqs[0].hart, 3u);
+  EXPECT_EQ(reqs[1].hart, 3u);
   EXPECT_EQ(tags[0].lane, 0u);
   EXPECT_EQ(tags[1].lane, 2u);
   EXPECT_FALSE(unit.all_idle());
